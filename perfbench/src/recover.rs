@@ -29,7 +29,7 @@ use odin_drift::{ClusterManager, ManagerConfig};
 
 use crate::checks::{recoveries, tail_exactly_once, Digest, RecoveryKind, ReplyView, Served};
 use crate::deploy::{base_config, build_server, peak_rss_mib, Weights, FRAME_SIZE};
-use crate::json::Json;
+use crate::json::{number, Json};
 use crate::layers::{replay, Replay};
 use crate::ops::{counter_metrics, deployment_metrics, parse_events, quiesce, timed_get, Records};
 use crate::report::{counters, map_metric, metric, reply_metrics, rng, set_up, Ctx, Outcome};
@@ -394,13 +394,11 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
             }
         }
     }
-    out.layers.push(metric("drift.recovery_s", median(&cold).unwrap_or(f64::NAN), cold.len()));
-    out.layers.push(metric("attic.recovery_s", median(&attic).unwrap_or(f64::NAN), attic.len()));
-    out.layers.push(metric(
-        "drift.delay_frames",
-        median(&delays).unwrap_or(f64::NAN),
-        delays.len(),
-    ));
+    // A kind no visit produced reports 0 from 0 samples, like an
+    // unexercised layer.
+    out.layers.push(metric("drift.recovery_s", median(&cold).unwrap_or(0.0), cold.len()));
+    out.layers.push(metric("attic.recovery_s", median(&attic).unwrap_or(0.0), attic.len()));
+    out.layers.push(metric("drift.delay_frames", median(&delays).unwrap_or(0.0), delays.len()));
 
     let served: Vec<Digest> = all
         .iter()
@@ -416,8 +414,8 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
     out.layers.extend(counter_metrics(&before, &after));
     out.notes = Json::obj()
         .arr("recoveries", &kinds)
-        .arr("cold_s", &cold.iter().map(|v| crate::json::number(*v)).collect::<Vec<_>>())
-        .arr("attic_s", &attic.iter().map(|v| crate::json::number(*v)).collect::<Vec<_>>())
+        .arr("cold_s", &cold.iter().map(|v| number(*v)).collect::<Vec<_>>())
+        .arr("attic_s", &attic.iter().map(|v| number(*v)).collect::<Vec<_>>())
         .num("drift_events", served_drifts.len() as f64)
         .num("unrecovered_visits", missed as f64)
         .num("late_ms_max", worst)
