@@ -6,7 +6,8 @@
 //! outstanding per stream through `OdinServer::submit` — a closed loop
 //! of 16 × window virtual cameras — so queues stay full and workers
 //! batch up to `batch_max`. Each reply's (detection count, `served_by`)
-//! must match a standalone `Odin` replay of its stream.
+//! must match a standalone `Odin` replay of its stream, and the served
+//! detections must pass the quality floor.
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -19,17 +20,17 @@ use odin_core::CheckpointPolicy;
 use odin_data::{Frame, SceneGen, Subset};
 use odin_detect::Detection;
 
-use crate::checks::{compare, sequence_hash, Digest, Served};
+use crate::checks::{compare, Digest, Served};
 use crate::deploy::{
-    build_server, peak_rss_mib, serving_config, settle_clusters, standalone_shard, Weights,
-    FRAME_SIZE,
+    build_server, peak_rss_mib, serving_config, settle_clusters, standalone_shard,
+    teacher_detections, Weights, FRAME_SIZE,
 };
 use crate::json::Json;
 use crate::layers::{replay, Replay};
 use crate::ops::{counter_metrics, deployment_metrics};
 use crate::report::{
-    counters, map_metric, metric, per_stream, reply_metrics, rng, set_up, windowed_fps, Ctx,
-    Outcome,
+    counters, map_metrics, metric, per_stream, reply_metrics, rng, windowed_fps, Ctx, Outcome,
+    Setups,
 };
 use crate::stats::median;
 use crate::trace::{frame_key, Span, SpanLog};
@@ -42,6 +43,10 @@ const POOL: usize = 64;
 const WINDOW: usize = 2;
 /// Untimed frames per stream answered before timing (warm-up).
 const WARM: usize = 2;
+
+/// Quality floor (see `checks::quality`): every frame is served by the
+/// teacher, so the served mAP is the teacher's.
+const MAP_FLOOR: f64 = 0.95;
 
 fn server_config(workers: usize) -> ServerConfig {
     ServerConfig { streams: STREAMS, workers, queue_cap: 64, batch_max: 16, odin: serving_config() }
@@ -244,7 +249,7 @@ fn reference(
 /// checks and, when tracing, the layers.
 pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
     let pools = pools(ctx.seed);
-    let (dep, setup_s) = set_up(ctx, |rep| setup(ctx, &pools, rep))?;
+    let (dep, setups) = Setups::first(trace, |rep| setup(ctx, &pools, rep))?;
     let Deployment { mut server, passes, store_dir } = dep;
     let before = counters(&server);
     let timed = timed_phase(ctx, &server, &pools, trace);
@@ -260,20 +265,11 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
         .filter(|r| r.result.is_some())
         .map(|r| r.done.saturating_duration_since(timed.start).as_secs_f64())
         .collect();
-    out.e2e.push(setup_s);
     let fps = windowed_fps(&done_s, (timed.deadline - timed.start).as_secs_f64());
     let (throughput, ok_in_window) = (fps.value, fps.samples);
     out.e2e.push(fps);
     let lat: Vec<f64> = replies.iter().map(|r| r.latency_ms).collect();
     out.add_latencies(&lat);
-    let (mut dets, mut frames) = (Vec::new(), Vec::new());
-    for r in replies {
-        if let Some((_, d)) = &r.result {
-            dets.push(d.clone());
-            frames.push(&pools[r.stream][r.pos % POOL]);
-        }
-    }
-    out.layers.push(map_metric(&dets, &frames));
     out.e2e.push(metric("peak_rss_mib", rss, 1));
 
     let ok: Vec<Digest> = replies.iter().filter_map(|r| r.result.as_ref().map(|x| x.0)).collect();
@@ -292,6 +288,7 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
     }
     server.shutdown();
     drop(server);
+    out.e2e.push(setups.finish()?);
 
     // Output check: every reply against the standalone replay.
     let weights = Weights::load()?;
@@ -301,7 +298,6 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
     let refs = per_stream(STREAMS, ctx.workers, |s| {
         reference(&weights, ctx, &pools, s, passes[s], served_n[s])
     });
-    let mut hashes = Vec::new();
     for (s, reference) in refs.iter().enumerate() {
         let served: Vec<(usize, Digest)> = replies
             .iter()
@@ -313,10 +309,25 @@ pub fn run(ctx: &Ctx, trace: bool) -> Result<Outcome, String> {
             out.problems.push(format!("stream {s}: {n} replies differ from the standalone replay"));
             out.problems.extend(lines);
         }
-        hashes.push(format!("\"{:016x}\"", sequence_hash(served.iter().map(|(_, d)| *d))));
     }
+
+    // Quality: the served detections and the teacher's, run outside the
+    // pipeline, on the same frames.
+    let teacher = per_stream(STREAMS, ctx.workers, |s| {
+        teacher_detections(&weights, &pools[s].iter().collect::<Vec<_>>())
+    });
+    let (mut dets, mut teacher_dets, mut frames) = (Vec::new(), Vec::new(), Vec::new());
+    for r in replies {
+        if let Some((_, d)) = &r.result {
+            dets.push(d.clone());
+            teacher_dets.push(teacher[r.stream][r.pos % POOL].clone());
+            frames.push(&pools[r.stream][r.pos % POOL]);
+        }
+    }
+    let (maps, low) = map_metrics(&dets, &teacher_dets, &frames, MAP_FLOOR);
+    out.layers.extend(maps);
+    out.problems.extend(low);
     out.notes = Json::obj()
-        .arr("reply_hashes", &hashes)
         .arr("frames_per_stream", &served_n.iter().map(|n| n.to_string()).collect::<Vec<_>>())
         .arr("boot_passes", &passes.iter().map(|p| p.to_string()).collect::<Vec<_>>());
 

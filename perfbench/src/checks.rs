@@ -76,22 +76,18 @@ pub fn compare(
     (count, lines)
 }
 
-/// FNV-1a over a digest sequence: one number that identifies a run's
-/// replies, recorded with the results.
-pub fn sequence_hash(digests: impl IntoIterator<Item = Digest>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in digests {
-        let tag = match d.served {
-            Served::Teacher => 0u8,
-            Served::Ensemble => 1,
-            Served::Fallback => 2,
-        };
-        for b in d.dets.to_le_bytes().into_iter().chain([tag]) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
+/// The quality check. Replies are compared with a replay of the same
+/// code, which a change that degrades detection would fail alike; this
+/// compares them with ground truth instead. The served detections' mAP
+/// must reach `floor` times the committed teacher's mAP on the same
+/// frames, the teacher being run outside the pipeline.
+pub fn quality(served_map: f64, teacher_map: f64, floor: f64) -> Option<String> {
+    (served_map < floor * teacher_map).then(|| {
+        format!(
+            "served mAP {served_map:.4} is below {floor} x the teacher's {teacher_map:.4} on \
+             the same frames"
+        )
+    })
 }
 
 /// One reply of an open-loop stream, as recovery detection sees it.
@@ -268,13 +264,16 @@ mod tests {
     }
 
     #[test]
-    fn sequence_hash_sees_count_and_path() {
-        let a = [Digest { dets: 2, served: Served::Ensemble }];
-        let b = [Digest { dets: 2, served: Served::Fallback }];
-        let c = [Digest { dets: 3, served: Served::Ensemble }];
-        assert_ne!(sequence_hash(a), sequence_hash(b));
-        assert_ne!(sequence_hash(a), sequence_hash(c));
-        assert_eq!(sequence_hash(a), sequence_hash(a));
+    fn quality_floor_is_relative_to_the_teacher() {
+        assert_eq!(quality(0.03, 0.02, 1.0), None);
+        assert_eq!(quality(0.02, 0.02, 1.0), None);
+        assert!(quality(0.019, 0.02, 1.0).is_some());
+        assert_eq!(quality(0.006, 0.02, 0.25), None);
+        assert!(quality(0.004, 0.02, 0.25).is_some());
+    }
+
+    #[test]
+    fn reply_paths_parse() {
         assert_eq!(Served::parse("FallbackEnsemble"), Some(Served::Fallback));
         assert_eq!(Served::parse("Teacher"), Some(Served::Teacher));
         assert_eq!(Served::parse("teacher"), None);

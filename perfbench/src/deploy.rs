@@ -12,7 +12,7 @@ use odin_core::specializer::SpecializerConfig;
 use odin_core::training::TrainingMode;
 use odin_core::{AtticConfig, EventLogConfig, ServePrecision};
 use odin_data::Frame;
-use odin_detect::{Detector, DetectorArch};
+use odin_detect::{Detection, Detector, DetectorArch};
 use odin_drift::ManagerConfig;
 use odin_gan::{DaGan, DaGanConfig};
 use odin_store::{Checkpoint, Decoder};
@@ -138,15 +138,17 @@ pub fn base_config() -> OdinConfig {
     }
 }
 
-/// Assignment margin of the serving-only workloads' detector: bands
-/// widened by twice their width on each side, as suits a camera whose
-/// scene does not drift, so settled clusters absorb the stream's
-/// recurring outliers instead of promoting new clusters while timed.
+/// Assignment margin of the serving-only workloads' drift detector,
+/// wider than `ManagerConfig`'s default of 0.6. With the default, a
+/// stream cycling a fixed frame pool never settles: clusters keep being
+/// promoted while timed, each teacher-served and buffering frames for a
+/// job that never runs, so throughput and memory follow how many a seed
+/// happens to promote rather than the serving path.
 const STABLE_ASSIGN_MARGIN: f32 = 2.0;
 
 /// Configuration of the workloads that only serve (`steady-http`,
 /// `burst-teacher`): training disabled (`min_train_frames =
-/// usize::MAX`) and a stable camera's assignment margin.
+/// usize::MAX`) and [`STABLE_ASSIGN_MARGIN`].
 pub fn serving_config() -> OdinConfig {
     let base = base_config();
     OdinConfig {
@@ -154,6 +156,16 @@ pub fn serving_config() -> OdinConfig {
         min_train_frames: usize::MAX,
         ..base
     }
+}
+
+/// The committed teacher's detections on `frames`, in batches of 16,
+/// run outside the pipeline: the reference of the quality check.
+pub fn teacher_detections(weights: &Weights, frames: &[&Frame]) -> Vec<Vec<Detection>> {
+    let teacher = weights.teacher();
+    frames
+        .chunks(16)
+        .flat_map(|c| teacher.detect_batch(&c.iter().map(|f| &f.image).collect::<Vec<_>>()))
+        .collect()
 }
 
 /// Builds a server whose shards all use the committed encoder/teacher.
@@ -205,7 +217,8 @@ pub fn peak_rss_mib() -> Option<f64> {
 }
 
 /// The git revision when run inside a repository, else `None` (the
-/// benchmark also runs from plain source checkouts).
+/// benchmark also runs from plain source checkouts, which record
+/// `"unknown"`).
 fn git_rev() -> Option<String> {
     let out = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -218,41 +231,6 @@ fn git_rev() -> Option<String> {
     (out.status.success() && !rev.is_empty()).then_some(rev)
 }
 
-/// FNV-1a digest over the sources the benchmark builds (every `.rs` and
-/// `Cargo.toml` under `crates/` and this package, in path order): a
-/// revision stand-in that also works outside git.
-fn source_digest() -> String {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(rd) = std::fs::read_dir(dir) else { return };
-        for e in rd.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                if p.file_name().is_some_and(|n| n != "target") {
-                    walk(&p, out);
-                }
-            } else if p.extension().is_some_and(|x| x == "rs")
-                || p.file_name().is_some_and(|n| n == "Cargo.toml")
-            {
-                out.push(p);
-            }
-        }
-    }
-    let root = repo_root();
-    let mut files = Vec::new();
-    walk(&root.join("crates"), &mut files);
-    walk(&root.join("perfbench"), &mut files);
-    files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in files {
-        let rel = f.strip_prefix(&root).unwrap_or(&f).to_string_lossy().into_owned();
-        for b in rel.bytes().chain(std::fs::read(&f).unwrap_or_default()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
-
 /// The provenance block: what ran, where, and how.
 pub fn provenance(workload: &str, seed: u64, workers: usize, trace: bool) -> Json {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -261,7 +239,6 @@ pub fn provenance(workload: &str, seed: u64, workers: usize, trace: bool) -> Jso
         .num("seed", seed as f64)
         .bool("trace", trace)
         .str("git_rev", git_rev().as_deref().unwrap_or("unknown"))
-        .str("source_fnv64", &source_digest())
         .num("nproc", nproc as f64)
         .bool("simd", odin_tensor::simd::simd_enabled())
         .num("tensor_threads", odin_tensor::par::num_threads() as f64)

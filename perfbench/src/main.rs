@@ -167,7 +167,6 @@ fn main() -> ExitCode {
     let ctx = Ctx {
         seed: args.seed,
         seconds: args.seconds,
-        trace: args.trace,
         workers: nproc.clamp(1, 2),
         work_dir: work_dir.clone(),
         epoch,

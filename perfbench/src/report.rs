@@ -11,7 +11,7 @@ use odin_detect::{mean_average_precision, Detection, MAP_IOU};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checks::Digest;
+use crate::checks::{quality, Digest};
 use crate::json::Json;
 use crate::stats::{mean, median, tail_percentile};
 use crate::trace::Span;
@@ -60,6 +60,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("detect.nms_us", "us"),
     ("detect.dets_per_frame", "count"),
     ("detect.map", "mAP"),
+    ("detect.teacher_map", "mAP"),
     ("tensor.encode_gflops", "GFLOP/s"),
     ("tensor.teacher_gflops", "GFLOP/s"),
     ("tensor.int8_gops", "GOP/s"),
@@ -156,8 +157,6 @@ pub struct Ctx {
     pub seed: u64,
     /// Length of the timed phase.
     pub seconds: f64,
-    /// Record spans and measure the layers.
-    pub trace: bool,
     /// Serving workers.
     pub workers: usize,
     /// Scratch directory for stores and logs (inside the checkout).
@@ -211,27 +210,51 @@ pub fn reply_metrics(
     ]
 }
 
-/// Setup repetitions behind each run's `setup_s` median.
-const SETUPS: usize = 3;
+/// Set-ups timed before the timed phase; the last one serves it.
+const SETUPS_BEFORE: usize = 2;
+/// Set-ups timed after the timed phase, so that `setup_s` samples the
+/// whole run rather than one moment of the host.
+const SETUPS_AFTER: usize = 3;
 
-/// Sets a deployment up [`SETUPS`] times (once in traced mode, which
-/// reports no `setup_s`), timing each, and keeps the last one; each
-/// earlier one is dropped, which shuts it down, before the next starts.
-/// Returns it with `setup_s`, the median of the timings.
-pub fn set_up<D>(
-    ctx: &Ctx,
-    mut setup: impl FnMut(usize) -> Result<D, String>,
-) -> Result<(D, Metric), String> {
-    let reps = if ctx.trace { 1 } else { SETUPS };
-    let (mut times, mut last) = (Vec::with_capacity(reps), None);
-    for rep in 0..reps {
-        drop(last.take());
-        let t = Instant::now();
-        last = Some(setup(rep)?);
-        times.push(t.elapsed().as_secs_f64());
+/// A deployment's set-up, called with a repetition number (distinct
+/// scratch directories per repetition), and the times taken so far.
+pub struct Setups<F> {
+    setup: F,
+    times: Vec<f64>,
+    trace: bool,
+}
+
+impl<D, F: FnMut(usize) -> Result<D, String>> Setups<F> {
+    /// Sets a deployment up [`SETUPS_BEFORE`] times (once in traced
+    /// mode, which reports no `setup_s`), timing each, and returns the
+    /// last one; each earlier one is dropped, which shuts it down,
+    /// before the next starts.
+    pub fn first(trace: bool, setup: F) -> Result<(D, Self), String> {
+        let mut this = Setups { setup, times: Vec::new(), trace };
+        let mut last = None;
+        for _ in 0..if trace { 1 } else { SETUPS_BEFORE } {
+            drop(last.take());
+            last = Some(this.once()?);
+        }
+        Ok((last.expect("at least one setup"), this))
     }
-    let setup_s = metric("setup_s", median(&times).unwrap_or(0.0), times.len());
-    Ok((last.expect("at least one setup"), setup_s))
+
+    fn once(&mut self) -> Result<D, String> {
+        let t = Instant::now();
+        let d = (self.setup)(self.times.len())?;
+        self.times.push(t.elapsed().as_secs_f64());
+        Ok(d)
+    }
+
+    /// Call once the served deployment is shut down: sets up (and
+    /// drops) [`SETUPS_AFTER`] more deployments, none in traced mode,
+    /// and returns `setup_s`, the median of every timing.
+    pub fn finish(mut self) -> Result<Metric, String> {
+        for _ in 0..if self.trace { 0 } else { SETUPS_AFTER } {
+            drop(self.once()?);
+        }
+        Ok(metric("setup_s", median(&self.times).unwrap_or(0.0), self.times.len()))
+    }
 }
 
 /// A seeded RNG for one purpose (`salt`) of one stream.
@@ -254,10 +277,21 @@ pub fn windowed_fps(done_s: &[f64], elapsed_s: f64) -> Metric {
     metric("throughput_fps", median(&counts).unwrap_or(0.0), done_s.len())
 }
 
-/// mAP@`MAP_IOU` of served detections against the frames' ground truth.
-pub fn map_metric(dets: &[Vec<Detection>], frames: &[&Frame]) -> Metric {
+/// mAP@`MAP_IOU` against the frames' ground truth of the served
+/// detections (`detect.map`) and of the teacher's (`detect.teacher_map`,
+/// `teacher[i]` for `frames[i]`), with the verdict of the quality check
+/// at `floor`.
+pub fn map_metrics(
+    served: &[Vec<Detection>],
+    teacher: &[Vec<Detection>],
+    frames: &[&Frame],
+    floor: f64,
+) -> (Vec<Metric>, Option<String>) {
     let gts: Vec<&[odin_data::GtBox]> = frames.iter().map(|f| f.boxes.as_slice()).collect();
-    metric("detect.map", f64::from(mean_average_precision(dets, &gts, MAP_IOU)), dets.len())
+    let score = |d| f64::from(mean_average_precision(d, &gts, MAP_IOU));
+    let (s, t) = (score(served), score(teacher));
+    let n = frames.len();
+    (vec![metric("detect.map", s, n), metric("detect.teacher_map", t, n)], quality(s, t, floor))
 }
 
 /// Every shard's telemetry counters, summed across shards.
