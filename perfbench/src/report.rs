@@ -279,14 +279,14 @@ pub fn windowed_fps(done_s: &[f64], elapsed_s: f64) -> Metric {
 
 /// mAP@`MAP_IOU` against the frames' ground truth of the served
 /// detections (`detect.map`) and of the teacher's (`detect.teacher_map`,
-/// `teacher[i]` for `frames[i]`), with the verdict of the quality check
-/// at `floor`.
+/// `teacher[i]` for `frames[i]`), with the problems the quality check
+/// at `floor` finds.
 pub fn map_metrics(
     served: &[Vec<Detection>],
     teacher: &[Vec<Detection>],
     frames: &[&Frame],
     floor: f64,
-) -> (Vec<Metric>, Option<String>) {
+) -> (Vec<Metric>, Vec<String>) {
     let gts: Vec<&[odin_data::GtBox]> = frames.iter().map(|f| f.boxes.as_slice()).collect();
     let score = |d| f64::from(mean_average_precision(d, &gts, MAP_IOU));
     let (s, t) = (score(served), score(teacher));
